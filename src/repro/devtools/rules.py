@@ -18,13 +18,16 @@ rests on (see DESIGN.md §3 and README "Code invariants & reprolint"):
   signature no longer has; stale parameter docs teach callers an API
   that does not exist.
 - RL007 — every name a module exports via ``__all__`` must be consumed
-  somewhere else in the tree (or allowlisted as intentional public API);
-  dead exports are the residue refactors leave behind.
+  somewhere else in the tree (or allowlisted as intentional public API),
+  and some name of every module must be consumed outside the tests;
+  dead exports and test-only modules are the residue refactors leave
+  behind.
 """
 
 from __future__ import annotations
 
 import ast
+from pathlib import PurePosixPath
 from typing import Iterable
 
 from .engine import FileContext, ProjectRule, Rule, register, register_project
@@ -492,6 +495,13 @@ class DeadExportRule(ProjectRule):
     name-level tracking, so a star-import of a root-package module exempts
     that module's exports.  ``[tool.reprolint.deadcode] allow`` patterns
     mark intentional public API.
+
+    A second finding flags a whole module as **used only by tests** when
+    none of its exports is used by any non-test file other than itself.
+    Test files (under a ``tests`` directory or named ``test_*.py``) do
+    not count, nor do the ``from .mod import …`` re-export lines of a
+    package ``__init__.py``; other name loads in an ``__init__.py`` do.
+    An allowlisted export counts as a use.
     """
 
     id = "RL007"
@@ -500,9 +510,14 @@ class DeadExportRule(ProjectRule):
 
     def scan(self, contexts: list[FileContext]) -> Iterable[Finding]:
         used_by_file: dict[str, set[str]] = {}
+        used_outside_tests: dict[str, set[str]] = {}
         star_imported: set[str] = set()
         for ctx in contexts:
-            used_by_file[ctx.display_path] = self._used_names(ctx, star_imported)
+            used, reexported = self._used_names(ctx, star_imported)
+            used_by_file[ctx.display_path] = used | reexported
+            path = PurePosixPath(ctx.display_path)
+            if "tests" not in path.parts and not path.name.startswith("test_"):
+                used_outside_tests[ctx.display_path] = used
         for ctx in contexts:
             module = ctx.module
             if module is None or ctx.usage_only:
@@ -512,11 +527,16 @@ class DeadExportRule(ProjectRule):
                 continue
             if module in star_imported:
                 continue
-            for name, node in self._exports(ctx):
-                if ctx.config.export_allowed(module, name):
+            exports = self._exports(ctx)
+            test_only = bool(exports)
+            dead = 0
+            for name, node in exports:
+                allowed = ctx.config.export_allowed(module, name)
+                if allowed or self._used_elsewhere(name, used_outside_tests, ctx):
+                    test_only = False
+                if allowed or self._used_elsewhere(name, used_by_file, ctx):
                     continue
-                if any(name in used for path, used in used_by_file.items() if path != ctx.display_path):
-                    continue
+                dead += 1
                 yield self.finding(
                     ctx,
                     node,
@@ -524,6 +544,18 @@ class DeadExportRule(ProjectRule):
                     "outside its module — delete it or allowlist it under "
                     "[tool.reprolint.deadcode]",
                 )
+            if test_only and dead < len(exports):  # all-dead modules are already flagged
+                yield self.finding(
+                    ctx,
+                    exports[0][1],
+                    f"module '{module}' is used only by tests: no non-test file uses any of "
+                    "its __all__ names (package re-exports do not count) — delete it or "
+                    "allowlist it under [tool.reprolint.deadcode]",
+                )
+
+    @staticmethod
+    def _used_elsewhere(name: str, used_by_file: dict[str, set[str]], ctx: FileContext) -> bool:
+        return any(name in used for path, used in used_by_file.items() if path != ctx.display_path)
 
     @staticmethod
     def _exports(ctx: FileContext) -> list[tuple[str, ast.AST]]:
@@ -545,9 +577,16 @@ class DeadExportRule(ProjectRule):
         return exports
 
     @staticmethod
-    def _used_names(ctx: FileContext, star_imported: set[str]) -> set[str]:
-        """Every name this file could be consuming from another module."""
+    def _used_names(ctx: FileContext, star_imported: set[str]) -> tuple[set[str], set[str]]:
+        """Every name this file could be consuming from another module.
+
+        Returns ``(used, reexported)``: names imported by a package
+        ``__init__.py``'s ``from .mod import …`` lines land in
+        ``reexported`` instead of ``used``.
+        """
         used: set[str] = set()
+        reexported: set[str] = set()
+        in_init = ctx.path.name == "__init__.py"
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.ImportFrom):
                 for alias in node.names:
@@ -556,10 +595,12 @@ class DeadExportRule(ProjectRule):
                             star_imported.add(node.module)
                         elif ctx.module is not None:
                             star_imported.add(ctx.module.rsplit(".", 1)[0])
+                    elif in_init and node.level == 1:
+                        reexported.add(alias.name)
                     else:
                         used.add(alias.name)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
             elif isinstance(node, ast.Name):
                 used.add(node.id)
-        return used
+        return used, reexported

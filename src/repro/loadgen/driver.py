@@ -73,12 +73,11 @@ class HttpTarget:
     the request then closes — the server must survive both.
     """
 
-    def __init__(self, url: str, *, path: str = "/predict", connect_timeout: float = 5.0):
+    def __init__(self, url: str, *, connect_timeout: float = 5.0):
         without_scheme = url.split("//", 1)[-1].rstrip("/")
         host, _, port = without_scheme.partition(":")
         self.host = host
         self.port = int(port)
-        self.path = path
         self.connect_timeout = connect_timeout
         self._local = threading.local()
 
@@ -155,7 +154,7 @@ class HttpTarget:
         """Send one request and return ``(status, body)``; raises on transport errors."""
         body = json.dumps({"rows": rows}).encode("utf-8")
         request = (
-            f"POST {self.path} HTTP/1.1\r\n"
+            "POST /predict HTTP/1.1\r\n"
             f"Host: {self.host}:{self.port}\r\n"
             "Content-Type: application/json\r\n"
             f"Content-Length: {len(body)}\r\n"

@@ -19,7 +19,6 @@ from .fluid import FluidTrace, run_fluid_scenario
 from .link import BottleneckLink, LinkStats
 from .flow import FlowStats, Sender
 from .packet import DEFAULT_PACKET_BYTES, NetworkScenario, Packet
-from .path import NetworkPath
 from .scenarios import DEFAULT_SPACE, ScenarioSpace
 
 __all__ = [
@@ -29,7 +28,6 @@ __all__ = [
     "DEFAULT_PACKET_BYTES",
     "BottleneckLink",
     "LinkStats",
-    "NetworkPath",
     "Sender",
     "FlowStats",
     "FlowMetrics",

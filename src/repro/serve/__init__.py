@@ -13,10 +13,9 @@ This package is that loop's serving side, stdlib-only, in five pieces:
 - :mod:`~repro.serve.monitor` — :class:`UncertaintyMonitor` flagging
   points inside the registered feedback subspace or with live committee
   disagreement, feeding a bounded :class:`LabelingQueue`;
-- :mod:`~repro.serve.service` / :mod:`~repro.serve.router` /
-  :mod:`~repro.serve.http` / :mod:`~repro.serve.client` — one façade
-  reached in-process or over threaded HTTP JSON, identical response
-  shapes;
+- :mod:`~repro.serve.service` / :mod:`~repro.serve.http` — one
+  model's façade, called in-process or served over threaded HTTP JSON
+  with the same response bytes;
 - :mod:`~repro.serve.metrics` — thread-safe counters and quantile
   histograms behind ``/metrics``.
 
@@ -24,13 +23,11 @@ This package is that loop's serving side, stdlib-only, in five pieces:
 package on the CLI.
 """
 
-from .client import HttpClient, InProcessClient
 from .engine import InferenceEngine, Prediction, ServeConfig, ShadowMirror
-from .http import ServeHTTPServer, serve_http
+from .http import RequestDispatcher, ServeHTTPServer, serve_http
 from .metrics import Counter, Histogram, MetricsRegistry
 from .monitor import LabelingQueue, UncertaintyMonitor, committee_disagreement
 from .registry import ModelBundle, ModelRegistry, default_registry_dir
-from .router import ModelRouter, RequestDispatcher
 from .service import ServeService, render_prediction
 
 __all__ = [
@@ -48,10 +45,7 @@ __all__ = [
     "render_prediction",
     "ServeHTTPServer",
     "serve_http",
-    "ModelRouter",
     "RequestDispatcher",
-    "InProcessClient",
-    "HttpClient",
     "MetricsRegistry",
     "Counter",
     "Histogram",

@@ -8,19 +8,18 @@ governed by backpressure, not by thread count):
 - ``GET  /healthz``  → service identity and liveness;
 - ``GET  /metrics``  → counters + latency histograms (JSON);
 - ``POST /predict``  → ``{"rows": [[...], ...]}`` → labels/uncertainty;
-- ``POST /predict/<name>``  → same, routed by model name;
-- ``POST /feedback[/<name>]`` → ``{"limit": N}`` → labeling queue drain;
-- ``POST /loop/tick`` / ``GET /loop/status`` → drive an attached
-  retraining loop (:meth:`RequestDispatcher.attach_loop`) over the wire.
+- ``POST /feedback`` → ``{"limit": N}`` → labeling queue drain.
 
 Routing, validation, and the error-status contract (400 validation,
 503 shed, 504 timeout, 404 unknown route or method, 500 other serve
-failures) live in :class:`~repro.serve.router.RequestDispatcher`; this
-module is socket plumbing only.  Connections are HTTP/1.1 keep-alive,
-written with ``TCP_NODELAY`` (headers and body go out in two writes, so
-Nagle plus the client's delayed ACK would otherwise hold every reply
-~40 ms), and an idle connection is closed after :attr:`_Handler.timeout`
-seconds so it cannot hold a server thread forever.
+failures) live in :class:`RequestDispatcher`, apart from the socket
+plumbing in :class:`_Handler`, so they are testable without a server.
+Any other path is a 404: one server serves one model.  Connections are
+HTTP/1.1 keep-alive, written with ``TCP_NODELAY`` (headers and body go
+out in two writes, so Nagle plus the client's delayed ACK would
+otherwise hold every reply ~40 ms), and an idle connection is closed
+after :attr:`_Handler.timeout` seconds so it cannot hold a server
+thread forever.
 
 Shutdown drains: :meth:`ServeHTTPServer.close` first stops accepting
 connections, then quiesces the service so every request already in the
@@ -33,15 +32,79 @@ from __future__ import annotations
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Any
 
-from ..exceptions import ValidationError
-from .router import ModelRouter, RequestDispatcher
+from ..exceptions import BackpressureError, RequestTimeoutError, ServeError, ValidationError
 from .service import ServeService
 
-__all__ = ["ServeHTTPServer", "serve_http"]
+__all__ = ["RequestDispatcher", "ServeHTTPServer", "serve_http"]
 
 #: Largest request body accepted, to bound memory per connection.
 MAX_BODY_BYTES = 16 * 1024 * 1024
+
+#: Typed-error → HTTP status, most specific first (the response contract).
+_ERROR_STATUS = (
+    (ValidationError, 400),
+    (BackpressureError, 503),
+    (RequestTimeoutError, 504),
+    (ServeError, 500),
+)
+
+
+class RequestDispatcher:
+    """HTTP semantics — routing, validation, error mapping — sans sockets.
+
+    The handler hands paths and parsed JSON in and gets
+    ``(status, payload)`` out; it never interprets errors itself.
+    """
+
+    def __init__(self, service: ServeService):
+        self.service = service
+
+    @staticmethod
+    def rows_of(payload: dict) -> Any:
+        rows = payload.get("rows")
+        if rows is None:
+            raise ValidationError('predict requests need a "rows" field: {"rows": [[...], ...]}')
+        return rows
+
+    @staticmethod
+    def limit_of(payload: dict) -> int | None:
+        limit = payload.get("limit")
+        if limit is not None and (not isinstance(limit, int) or limit < 0):
+            raise ValidationError(f'"limit" must be a non-negative integer, got {limit!r}')
+        return limit
+
+    @staticmethod
+    def not_found(message: str) -> tuple[int, dict]:
+        return 404, {"error": message, "type": "NotFound"}
+
+    @staticmethod
+    def error_response(error: BaseException) -> tuple[int, dict]:
+        """The typed-error contract: one (status, JSON body) per error class."""
+        for kind, status in _ERROR_STATUS:
+            if isinstance(error, kind):
+                return status, {"error": str(error), "type": type(error).__name__}
+        raise error
+
+    def get(self, path: str) -> tuple[int, dict]:
+        if path == "/healthz":
+            return 200, self.service.healthz()
+        if path == "/metrics":
+            return 200, self.service.metrics()
+        return self.not_found(f"no route {path!r}")
+
+    def post(self, path: str, payload: dict) -> tuple[int, dict]:
+        """Blocking POST handling: route, validate, predict or drain, map errors."""
+        route = path.rstrip("/")
+        try:
+            if route == "/predict":
+                return 200, self.service.predict(self.rows_of(payload))
+            if route == "/feedback":
+                return 200, self.service.feedback(self.limit_of(payload))
+        except (ValidationError, ServeError) as error:
+            return self.error_response(error)
+        return self.not_found(f"no route {path!r}")
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -116,11 +179,11 @@ def parse_json_body(raw: bytes) -> dict:
 
 
 class ServeHTTPServer(ThreadingHTTPServer):
-    """A :class:`ThreadingHTTPServer` bound to one service or router."""
+    """A :class:`ThreadingHTTPServer` bound to one service."""
 
     daemon_threads = True
 
-    def __init__(self, service: ServeService | ModelRouter, host: str = "127.0.0.1", port: int = 0):
+    def __init__(self, service: ServeService, host: str = "127.0.0.1", port: int = 0):
         super().__init__((host, port), _Handler)
         self.service = service
         self.dispatcher = RequestDispatcher(service)
@@ -155,9 +218,7 @@ class ServeHTTPServer(ThreadingHTTPServer):
             self.service.close()
 
 
-def serve_http(
-    service: ServeService | ModelRouter, host: str = "127.0.0.1", port: int = 0
-) -> ServeHTTPServer:
+def serve_http(service: ServeService, host: str = "127.0.0.1", port: int = 0) -> ServeHTTPServer:
     """Bind and background-start an HTTP server for ``service``.
 
     ``port=0`` lets the OS pick a free port (read it from ``server.url``),

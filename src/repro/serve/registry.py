@@ -33,6 +33,8 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Sequence
@@ -50,6 +52,19 @@ _ENV_VAR = "REPRO_REGISTRY_DIR"
 
 #: Manifest format version; bump when the manifest schema changes.
 MANIFEST_FORMAT = 1
+
+
+#: One lock per resolved registry directory, shared by every
+#: :class:`ModelRegistry` in this process, so each manifest
+#: read-modify-write sees the previous one's result and ``gc`` never
+#: runs between a publish and the manifest entry naming it.
+_MANIFEST_LOCKS: dict[Path, threading.Lock] = {}
+_MANIFEST_LOCKS_GUARD = threading.Lock()
+
+
+def _manifest_lock(directory: Path) -> threading.Lock:
+    with _MANIFEST_LOCKS_GUARD:
+        return _MANIFEST_LOCKS.setdefault(directory.resolve(), threading.Lock())
 
 
 def default_registry_dir() -> Path:
@@ -111,6 +126,7 @@ class ModelRegistry:
     def __init__(self, directory: Path | str | None = None):
         self.directory = Path(directory) if directory is not None else default_registry_dir()
         self.cache = ArtifactCache(self.directory / "artifacts")
+        self._lock = _manifest_lock(self.directory)
 
     @property
     def manifest_path(self) -> Path:
@@ -134,19 +150,20 @@ class ModelRegistry:
         return manifest
 
     def _write_manifest(self, manifest: dict[str, Any]) -> None:
+        # A temp name unique per call, as ArtifactCache uses, so two
+        # threads never share, replace or unlink one temp file.
         self.directory.mkdir(parents=True, exist_ok=True)
-        tmp = self.manifest_path.with_suffix(f".tmp.{os.getpid()}")
+        fd, tmp_name = tempfile.mkstemp(prefix=".manifest.", suffix=".tmp", dir=self.directory)
         try:
-            with open(tmp, "w", encoding="utf-8") as handle:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
                 json.dump(manifest, handle, indent=2, sort_keys=True)
                 handle.write("\n")
-            os.replace(tmp, self.manifest_path)
+            os.replace(tmp_name, self.manifest_path)
         finally:
-            if tmp.exists():
-                try:
-                    tmp.unlink()
-                except OSError:
-                    pass
+            try:
+                os.unlink(tmp_name)
+            except OSError:
+                pass  # the normal case: os.replace already consumed it
 
     def _entry(self, manifest: dict[str, Any], name: str) -> dict[str, Any]:
         entry = manifest["models"].get(name)
@@ -194,16 +211,18 @@ class ModelRegistry:
             report=report,
             metadata=dict(metadata or {}),
         )
-        key = self.cache.publish(bundle)
-
-        manifest = self._read_manifest()
-        entry = manifest["models"].setdefault(name, {"promoted": None, "previous": None, "versions": {}})
-        version = 1 + max((int(v) for v in entry["versions"]), default=0)
-        entry["versions"][str(version)] = {"key": key, **bundle.summary()}
-        if promote:
-            entry["previous"] = entry["promoted"]
-            entry["promoted"] = version
-        self._write_manifest(manifest)
+        # Publish under the lock too, so a concurrent gc() cannot delete
+        # the blob before the manifest references it.
+        with self._lock:
+            key = self.cache.publish(bundle)
+            manifest = self._read_manifest()
+            entry = manifest["models"].setdefault(name, {"promoted": None, "previous": None, "versions": {}})
+            version = 1 + max((int(v) for v in entry["versions"]), default=0)
+            entry["versions"][str(version)] = {"key": key, **bundle.summary()}
+            if promote:
+                entry["previous"] = entry["promoted"]
+                entry["promoted"] = version
+            self._write_manifest(manifest)
         return version
 
     # -- loading -----------------------------------------------------------
@@ -245,17 +264,18 @@ class ModelRegistry:
 
     def promote(self, name: str, version: int) -> None:
         """Atomically make ``version`` the serving version of ``name``."""
-        manifest = self._read_manifest()
-        entry = self._entry(manifest, name)
-        if str(version) not in entry["versions"]:
-            raise RegistryError(
-                f"cannot promote {name!r} v{version}: versions: {sorted(map(int, entry['versions']))}"
-            )
-        if entry["promoted"] == version:
-            return  # already serving; keep "previous" meaningful
-        entry["previous"] = entry["promoted"]
-        entry["promoted"] = version
-        self._write_manifest(manifest)
+        with self._lock:
+            manifest = self._read_manifest()
+            entry = self._entry(manifest, name)
+            if str(version) not in entry["versions"]:
+                raise RegistryError(
+                    f"cannot promote {name!r} v{version}: versions: {sorted(map(int, entry['versions']))}"
+                )
+            if entry["promoted"] == version:
+                return  # already serving; keep "previous" meaningful
+            entry["previous"] = entry["promoted"]
+            entry["promoted"] = version
+            self._write_manifest(manifest)
 
     def rollback(self, name: str) -> int:
         """Re-promote the previously serving version; returns it.
@@ -264,60 +284,16 @@ class ModelRegistry:
         model we just promoted is bad", not a version-control history.
         Rolling back again returns to the version that was just demoted.
         """
-        manifest = self._read_manifest()
-        entry = self._entry(manifest, name)
-        previous = entry["previous"]
-        if previous is None:
-            raise RegistryError(f"model {name!r} has no previous version to roll back to")
-        entry["previous"] = entry["promoted"]
-        entry["promoted"] = previous
-        self._write_manifest(manifest)
-        return int(previous)
-
-    # -- canary traffic splits --------------------------------------------
-
-    def set_canary(self, name: str, version: int, weight: float) -> None:
-        """Route a ``weight`` fraction of ``name``'s predict traffic to ``version``.
-
-        The split is manifest state, not process state: a router built
-        via :meth:`~repro.serve.router.ModelRouter.from_registry` reads
-        it at startup and serves the promoted version as primary with
-        ``version`` as the weighted canary.  Traffic selection at serve
-        time is a deterministic error-accumulator (no RNG), so the same
-        request sequence always splits the same way.
-
-        Parameters
-        ----------
-        name:
-            Registered model name.
-        version:
-            The candidate version to receive canary traffic; must be
-            registered (promotion not required — that is the point).
-        weight:
-            Fraction of predict traffic in ``(0, 1)`` sent to the canary.
-        """
-        if not 0.0 < weight < 1.0:
-            raise ValidationError(f"canary weight must be in (0, 1), got {weight}")
-        manifest = self._read_manifest()
-        entry = self._entry(manifest, name)
-        if str(version) not in entry["versions"]:
-            raise RegistryError(
-                f"cannot canary {name!r} v{version}: versions: {sorted(map(int, entry['versions']))}"
-            )
-        entry["canary"] = {"version": int(version), "weight": float(weight)}
-        self._write_manifest(manifest)
-
-    def clear_canary(self, name: str) -> None:
-        """Remove ``name``'s canary split (all traffic back to promoted)."""
-        manifest = self._read_manifest()
-        entry = self._entry(manifest, name)
-        if entry.pop("canary", None) is not None:
+        with self._lock:
+            manifest = self._read_manifest()
+            entry = self._entry(manifest, name)
+            previous = entry["previous"]
+            if previous is None:
+                raise RegistryError(f"model {name!r} has no previous version to roll back to")
+            entry["previous"] = entry["promoted"]
+            entry["promoted"] = previous
             self._write_manifest(manifest)
-
-    def canary(self, name: str) -> dict[str, Any] | None:
-        """The active canary split for ``name``: ``{"version", "weight"}`` or ``None``."""
-        split = self._entry(self._read_manifest(), name).get("canary")
-        return dict(split) if split is not None else None
+        return int(previous)
 
     # -- maintenance -------------------------------------------------------
 
@@ -332,27 +308,28 @@ class ModelRegistry:
         *would* go.  Returns ``{"referenced", "unreferenced", "removed",
         "bytes_freed"}``.
         """
-        manifest = self._read_manifest()
-        referenced = {
-            info["key"]
-            for entry in manifest["models"].values()
-            for info in entry["versions"].values()
-        }
-        unreferenced = [key for key in self.cache.keys() if key not in referenced]
-        removed = 0
-        bytes_freed = 0
-        for key in unreferenced:
-            path = self.cache.path_for(key)
-            try:
-                size = path.stat().st_size
-            except OSError:
-                size = 0
-            if dry_run:
-                bytes_freed += size
-                continue
-            if self.cache.remove(key):
-                removed += 1
-                bytes_freed += size
+        with self._lock:
+            manifest = self._read_manifest()
+            referenced = {
+                info["key"]
+                for entry in manifest["models"].values()
+                for info in entry["versions"].values()
+            }
+            unreferenced = [key for key in self.cache.keys() if key not in referenced]
+            removed = 0
+            bytes_freed = 0
+            for key in unreferenced:
+                path = self.cache.path_for(key)
+                try:
+                    size = path.stat().st_size
+                except OSError:
+                    size = 0
+                if dry_run:
+                    bytes_freed += size
+                    continue
+                if self.cache.remove(key):
+                    removed += 1
+                    bytes_freed += size
         return {
             "referenced": len(referenced),
             "unreferenced": len(unreferenced),

@@ -1,8 +1,8 @@
 """The serving façade: registry + engine + monitor behind four operations.
 
-:class:`ServeService` is the single object both transports (the HTTP
-server and the in-process client) talk to.  It owns exactly the four
-operations the JSON API exposes:
+:class:`ServeService` is the single object the HTTP server and
+in-process callers (the retraining loop, the load harness, the tests)
+talk to.  It owns exactly the four operations the JSON API exposes:
 
 - ``predict(rows)``   → labels, probabilities, uncertainty verdicts;
 - ``feedback(limit)`` → drain the labeling queue (the paper's "collect
@@ -10,9 +10,9 @@ operations the JSON API exposes:
 - ``healthz()``       → liveness plus which model/version is serving;
 - ``metrics()``       → the engine's counters and latency histograms.
 
-Keeping the transports this thin means every concurrency/correctness
-test can run against the service in-process and still exercise the same
-code the HTTP path does.
+Keeping the HTTP layer this thin means every concurrency/correctness
+test can call the service in-process and still exercise the same code
+the HTTP path does.
 
 Hot-swapping: the retraining loop promotes new versions *into a running
 service*.  All mutable serving state lives in one ``_state`` tuple
@@ -39,9 +39,8 @@ __all__ = ["ServeService", "render_prediction"]
 def render_prediction(name: str, version: int | None, prediction: Prediction) -> dict[str, Any]:
     """Assemble the one true ``/predict`` response payload.
 
-    The in-process client and the HTTP server both render through this
-    function, so the served JSON is bitwise identical whichever path a
-    request took.
+    :meth:`ServeService.predict` renders every response here, so an
+    in-process call and an HTTP request get the same JSON.
     """
     return {"model": name, "version": version, **prediction.to_json()}
 

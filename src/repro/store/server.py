@@ -1,7 +1,7 @@
 """HTTP semantics and the threaded HTTP server for the artifact store.
 
 :class:`StoreDispatcher` is the store's analogue of
-:class:`~repro.serve.router.RequestDispatcher`: route parsing and the
+:class:`~repro.serve.http.RequestDispatcher`: route parsing and the
 typed-error → status contract (400 validation or integrity mismatch,
 404 unknown key/route, 413 oversize, 503 shut down) live here, sans
 sockets.

@@ -645,9 +645,12 @@ class TestRL007DeadExport:
                 """,
             },
         )
-        assert [f.rule_id for f in findings] == ["RL007"]
-        assert "dead_helper" in findings[0].message
-        assert findings[0].path.endswith("util.py")
+        dead = [f for f in findings if "is exported via __all__" in f.message]
+        assert [f.rule_id for f in dead] == ["RL007"]
+        assert "dead_helper" in dead[0].message
+        assert dead[0].path.endswith("util.py")
+        # used_helper's only consumer is a test, so the module is test-only too.
+        assert [f.rule_id for f in findings if "used only by tests" in f.message] == ["RL007"]
 
     def test_export_used_only_in_own_module_is_dead(self, tmp_path):
         findings = self.scan(
@@ -749,6 +752,90 @@ class TestRL007DeadExport:
                 """,
             },
             config=config,
+        )
+        assert findings == []
+
+    def test_module_used_only_by_tests_flagged(self, tmp_path):
+        """Test users and the package's re-export lines do not keep a module alive."""
+        findings = self.scan(
+            tmp_path,
+            {
+                "src/repro/core/util.py": """
+                __all__ = ["helper"]
+
+                def helper():
+                    return 1
+                """,
+                "src/repro/core/__init__.py": """
+                from .util import helper
+
+                __all__ = ["helper"]
+                """,
+                "tests/test_util.py": """
+                from repro.core import helper
+
+                assert helper() == 1
+                """,
+                "benchmarks/test_helper_bench.py": """
+                from repro.core.util import helper
+                """,
+            },
+        )
+        assert [(f.rule_id, f.path) for f in findings] == [
+            ("RL007", "src/repro/core/__init__.py"),
+            ("RL007", "src/repro/core/util.py"),
+        ]
+        assert all("used only by tests" in f.message for f in findings)
+        assert "'repro.core.util'" in findings[1].message
+
+    def test_examples_user_clears_test_only_module(self, tmp_path):
+        findings = self.scan(
+            tmp_path,
+            {
+                "src/repro/core/util.py": """
+                __all__ = ["helper"]
+
+                def helper():
+                    return 1
+                """,
+                "src/repro/core/__init__.py": """
+                from .util import helper
+
+                __all__ = ["helper"]
+                """,
+                "tests/test_util.py": """
+                from repro.core import helper
+                """,
+                "examples/demo.py": """
+                from repro.core import helper
+
+                print(helper())
+                """,
+            },
+        )
+        assert findings == []
+
+    def test_init_name_load_counts_as_use(self, tmp_path):
+        """A registry dict in __init__.py is a real use, unlike a re-export."""
+        findings = self.scan(
+            tmp_path,
+            {
+                "src/repro/core/impl.py": """
+                __all__ = ["Impl"]
+
+                class Impl:
+                    pass
+                """,
+                "src/repro/core/__init__.py": """
+                from .impl import Impl
+
+                REGISTRY = {"impl": Impl}
+                __all__ = ["REGISTRY"]
+                """,
+                "examples/demo.py": """
+                from repro.core import REGISTRY
+                """,
+            },
         )
         assert findings == []
 

@@ -1,12 +1,12 @@
-"""Error-contract and connection tests for the serve HTTP server.
+"""Dispatcher, error-contract and connection tests for the serve HTTP server.
 
-Every semantic lives in the shared
-:class:`~repro.serve.router.RequestDispatcher`; these tests hold the
-threaded server to it **on real sockets**:
+Every semantic lives in :class:`~repro.serve.http.RequestDispatcher`,
+tested directly first; the remaining tests hold the threaded server to
+it **on real sockets**:
 
 - the documented error contract (400 malformed, oversized or
-  mis-framed, 404 unknown route, model or method, 503 shed, 504
-  timeout) with the exact JSON error bodies;
+  mis-framed, 404 unknown route or method, 503 shed, 504 timeout) with
+  the exact JSON error bodies;
 - HTTP/1.1 connection handling: keep-alive, pipelining,
   ``Connection: close``, byte-dribbled requests, mid-request
   disconnects, idle-connection reaping, and keep-alive replies free of
@@ -21,14 +21,20 @@ import http.client
 import json
 import socket
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import repro.serve.http as serve_http_module
-from repro.exceptions import ServeError
+from repro.exceptions import (
+    BackpressureError,
+    RequestTimeoutError,
+    ServeError,
+    ValidationError,
+)
 from repro.runtime.clock import Stopwatch
-from repro.serve import InferenceEngine, ServeConfig, ServeService, serve_http
+from repro.serve import InferenceEngine, RequestDispatcher, ServeConfig, ServeService, serve_http
 from repro.serve.engine import _PendingRequest
 from repro.serve.http import MAX_BODY_BYTES
 
@@ -126,6 +132,77 @@ def server(served_scream_registry):
     server.close()
 
 
+def _stub_service():
+    """Just enough surface for dispatcher tests: no engine, no model."""
+    return SimpleNamespace(
+        healthz=lambda: {"status": "ok", "version": 1},
+        metrics=lambda: {"counters": {"requests": 0}},
+        predict=lambda rows: {"rows": rows},
+        feedback=lambda limit: {"limit": limit},
+    )
+
+
+class TestRequestDispatcher:
+    def test_post_routes(self):
+        dispatcher = RequestDispatcher(_stub_service())
+        assert dispatcher.post("/predict", {"rows": [[1.0]]}) == (200, {"rows": [[1.0]]})
+        assert dispatcher.post("/predict/", {"rows": [[1.0]]}) == (200, {"rows": [[1.0]]})
+        assert dispatcher.post("/feedback", {"limit": 2}) == (200, {"limit": 2})
+        for path in ("/nope", "/predict/m", "/feedback/m", "/predict/m/extra", "/loop", "/", ""):
+            assert dispatcher.post(path, {"rows": [[1.0]]}) == (
+                404, {"error": f"no route {path!r}", "type": "NotFound"}
+            )
+
+    def test_payload_validation(self):
+        with pytest.raises(ValidationError, match='"rows"'):
+            RequestDispatcher.rows_of({})
+        assert RequestDispatcher.rows_of({"rows": [[1.0]]}) == [[1.0]]
+        assert RequestDispatcher.limit_of({}) is None
+        assert RequestDispatcher.limit_of({"limit": 3}) == 3
+        for bad in (-1, "five", 1.5):
+            with pytest.raises(ValidationError, match='"limit"'):
+                RequestDispatcher.limit_of({"limit": bad})
+
+    def test_error_status_contract(self):
+        cases = [
+            (ValidationError("bad"), 400, "ValidationError"),
+            (BackpressureError("full"), 503, "BackpressureError"),
+            (RequestTimeoutError("late"), 504, "RequestTimeoutError"),
+            (ServeError("broke"), 500, "ServeError"),
+        ]
+        for error, status, type_name in cases:
+            got_status, payload = RequestDispatcher.error_response(error)
+            assert got_status == status
+            assert payload == {"error": str(error), "type": type_name}
+        with pytest.raises(KeyError):  # unmapped errors re-raise, never 200
+            RequestDispatcher.error_response(KeyError("untyped"))
+
+    def test_get_routes(self):
+        dispatcher = RequestDispatcher(_stub_service())
+        assert dispatcher.get("/healthz") == (200, {"status": "ok", "version": 1})
+        assert dispatcher.get("/metrics") == (200, {"counters": {"requests": 0}})
+        for path in ("/nope", "/loop/status"):
+            status, payload = dispatcher.get(path)
+            assert status == 404 and payload["type"] == "NotFound"
+
+    def test_post_against_live_service(self, served_scream_registry, scream_data):
+        service = ServeService.from_registry(
+            "scream",
+            directory=served_scream_registry.directory,
+            config=ServeConfig(max_batch=8, max_delay=0.0),
+        )
+        with service:
+            dispatcher = RequestDispatcher(service)
+            status, payload = dispatcher.post("/predict", {"rows": scream_data.X[:2].tolist()})
+            assert status == 200 and payload["model"] == "scream"
+            status, payload = dispatcher.post("/predict/ghost", {"rows": [[0.0]]})
+            assert status == 404 and payload["type"] == "NotFound"
+            status, payload = dispatcher.post("/predict", {})
+            assert status == 400 and payload["type"] == "ValidationError"
+            status, payload = dispatcher.post("/feedback", {"limit": 5})
+            assert status == 200 and "candidates" in payload
+
+
 class TestErrorContract:
     """One request per documented failure."""
 
@@ -164,11 +241,12 @@ class TestErrorContract:
             assert headers.get("connection") == "close"  # the body went unread
 
     def test_unknown_model_is_404(self, server):
+        """A server serves one model: a model-named path is an unknown route."""
         status, body = _raw_exchange(server.url, _request_bytes(
             "POST", "/predict/ghost", json.dumps({"rows": [[0.0]]}).encode()
         ))
         assert status == 404
-        assert "no model route 'ghost'" in json.loads(body)["error"]
+        assert json.loads(body) == {"error": "no route '/predict/ghost'", "type": "NotFound"}
 
     def test_oversized_body_is_400(self, server):
         declared = MAX_BODY_BYTES + 1
@@ -248,7 +326,7 @@ class TestRoutes:
     def test_named_route_and_feedback(self, server, scream_data):
         with _Client(server.url) as client:
             status, _, body = client.exchange("POST", "/predict/scream", {"rows": scream_data.X[:2].tolist()})
-            assert status == 200 and json.loads(body)["model"] == "scream"
+            assert status == 404 and json.loads(body)["type"] == "NotFound"
             status, _, body = client.exchange("POST", "/feedback", {"limit": 4})
             assert status == 200 and "candidates" in json.loads(body)
 

@@ -12,7 +12,11 @@ the service in-process, send Table-1-style points, and check that
   status-code contract (400/503/504).
 """
 
+import json
+import sys
 import threading
+import urllib.error
+import urllib.request
 
 import numpy as np
 import pytest
@@ -24,8 +28,6 @@ from repro.exceptions import (
     ValidationError,
 )
 from repro.serve import (
-    HttpClient,
-    InProcessClient,
     InferenceEngine,
     LabelingQueue,
     MetricsRegistry,
@@ -92,6 +94,19 @@ class TestModelRegistry:
         assert fresh.names() == ["scream"]
         assert fresh.promoted_version("scream") == 1
 
+    def test_manifest_with_canary_split_still_loads(self, tmp_path, fitted_automl, scream_data):
+        """Manifests written while canary splits existed keep loading; the key is inert."""
+        local = ModelRegistry(tmp_path)
+        local.register("m", fitted_automl, scream_data.X, scream_data.domains)
+        local.register("m", fitted_automl, scream_data.X, scream_data.domains)
+        manifest = json.loads(local.manifest_path.read_text())
+        manifest["models"]["m"]["canary"] = {"version": 1, "weight": 0.25}
+        local.manifest_path.write_text(json.dumps(manifest))
+        fresh = ModelRegistry(tmp_path)
+        assert fresh.promoted_version("m") == 2
+        assert fresh.load("m").name == "m"
+        assert fresh.rollback("m") == 1
+
     def test_identical_bundles_share_one_artifact(self, tmp_path, registry, fitted_automl, scream_data):
         local = ModelRegistry(tmp_path)
         local.register("m", fitted_automl, scream_data.X, scream_data.domains)
@@ -138,9 +153,8 @@ class TestMonitorPieces:
 class TestEndToEndServing:
     def test_predictions_bitwise_identical_to_offline(self, service, fitted_automl, scream_data):
         """The acceptance core: serving == offline, bit for bit."""
-        client = InProcessClient(service)
         points = scream_data.X[:12]
-        response = client.predict(points.tolist())
+        response = service.predict(points.tolist())
         assert response["labels"] == fitted_automl.predict(points).tolist()
         np.testing.assert_array_equal(
             np.asarray(response["proba"]), fitted_automl.predict_proba(points)
@@ -154,27 +168,25 @@ class TestEndToEndServing:
         from repro.rng import check_random_state
 
         inside = region.sample(6, check_random_state(5))
-        client = InProcessClient(service)
-        client.feedback()  # drain anything earlier tests queued
-        response = client.predict(inside.tolist())
+        service.feedback()  # drain anything earlier tests queued
+        response = service.predict(inside.tolist())
         assert response["in_uncertain_region"] == [True] * 6
         assert response["in_feedback_region"] == [True] * 6
-        drained = client.feedback()
+        drained = service.feedback()
         assert len(drained["candidates"]) == 6
         assert all(c["in_feedback_region"] for c in drained["candidates"])
 
     def test_metrics_reflect_traffic(self, service, scream_data):
-        client = InProcessClient(service)
-        before = client.metrics()["counters"]["requests"]
-        client.predict(scream_data.X[:3].tolist())
-        snapshot = client.metrics()
+        before = service.metrics()["counters"]["requests"]
+        service.predict(scream_data.X[:3].tolist())
+        snapshot = service.metrics()
         assert snapshot["counters"]["requests"] == before + 1
         assert snapshot["histograms"]["latency_seconds"]["count"] >= 1
         assert "p95" in snapshot["histograms"]["latency_seconds"]
         assert "labeling_queue" in snapshot
 
     def test_healthz_identity(self, service, scream_data):
-        health = InProcessClient(service).healthz()
+        health = service.healthz()
         assert health["status"] == "ok"
         assert health["model"] == "scream" and health["version"] == 1
         assert health["feature_names"] == [d.name for d in scream_data.domains]
@@ -292,39 +304,43 @@ class TestHttpTransport:
         yield server
         server.close()
 
+    @staticmethod
+    def exchange(url: str, path: str, payload: dict | None = None, *, data: bytes | None = None):
+        """One urllib request; returns ``(status, decoded JSON body)`` for any status."""
+        if payload is not None:
+            data = json.dumps(payload).encode("utf-8")
+        request = urllib.request.Request(url + path, data=data, method="GET" if data is None else "POST")
+        try:
+            with urllib.request.urlopen(request, timeout=30.0) as response:
+                return response.status, json.loads(response.read())
+        except urllib.error.HTTPError as error:
+            return error.code, json.loads(error.read())
+
     def test_all_four_endpoints(self, server, fitted_automl, scream_data):
-        client = HttpClient(server.url)
-        health = client.healthz()
+        status, health = self.exchange(server.url, "/healthz")
+        assert status == 200
         assert health["status"] == "ok" and health["model"] == "scream"
         points = scream_data.X[:5]
-        response = client.predict(points.tolist())
+        status, response = self.exchange(server.url, "/predict", {"rows": points.tolist()})
+        assert status == 200
         assert response["labels"] == fitted_automl.predict(points).tolist()
         np.testing.assert_array_equal(
             np.asarray(response["proba"]), fitted_automl.predict_proba(points)
         )
-        metrics = client.metrics()
+        status, metrics = self.exchange(server.url, "/metrics")
+        assert status == 200
         assert metrics["counters"]["requests"] >= 1
-        feedback = client.feedback(limit=10)
+        status, feedback = self.exchange(server.url, "/feedback", {"limit": 10})
+        assert status == 200
         assert "candidates" in feedback and "queue" in feedback
 
     def test_error_contract(self, server):
-        client = HttpClient(server.url)
-        with pytest.raises(ValidationError):  # 400: malformed request
-            client.predict([[1.0]])
-        import json
-        import urllib.error
-        import urllib.request
-
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(server.url + "/nope")
-        assert excinfo.value.code == 404
-        request = urllib.request.Request(
-            server.url + "/predict", data=b"not json", method="POST"
-        )
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request)
-        assert excinfo.value.code == 400
-        assert json.loads(excinfo.value.read())["type"] == "ValidationError"
+        status, payload = self.exchange(server.url, "/predict", {"rows": [[1.0]]})
+        assert status == 400 and payload["type"] == "ValidationError"
+        status, payload = self.exchange(server.url, "/nope")
+        assert status == 404 and payload["type"] == "NotFound"
+        status, payload = self.exchange(server.url, "/predict", data=b"not json")
+        assert status == 400 and payload["type"] == "ValidationError"
 
 
 class TestRegistryGC:
@@ -371,6 +387,90 @@ class TestRegistryLoadErrors:
         assert "[1, 2]" in message  # the available versions, spelled out
         # Explicit versions still load fine without a promotion.
         assert registry.load("m", 2).name == "m"
+
+
+class TestRegistryConcurrency:
+    def test_concurrent_register_and_promote_keep_every_version(
+        self, tmp_path, fitted_automl, scream_data
+    ):
+        """Registries sharing one directory across threads lose no version.
+
+        Registrars append versions while promoters flip the serving
+        version back and forth; every one of these is a read-modify-write
+        of ``manifest.json``.  Afterwards the manifest must parse, hold
+        every registered version, and no temp file may be left behind.
+        """
+        X, domains = scream_data.X[:40], scream_data.domains
+        seed = ModelRegistry(tmp_path)
+        seed.register("m", fitted_automl, X, domains)
+        seed.register("m", fitted_automl, X, domains)
+        registrars, per_registrar, promoters = 3, 3, 2
+        barrier = threading.Barrier(registrars + promoters)
+        errors: list[Exception] = []
+
+        def register():
+            registry = ModelRegistry(tmp_path)
+            barrier.wait()
+            for _ in range(per_registrar):
+                registry.register("m", fitted_automl, X, domains, promote=False)
+
+        def promote():
+            registry = ModelRegistry(tmp_path)
+            barrier.wait()
+            for index in range(150):
+                registry.promote("m", 1 + index % 2)
+
+        def guarded(work):
+            try:
+                work()
+            except Exception as error:  # surfaced by the assertion below
+                errors.append(error)
+
+        threads = [threading.Thread(target=guarded, args=(register,)) for _ in range(registrars)]
+        threads += [threading.Thread(target=guarded, args=(promote,)) for _ in range(promoters)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)  # switch threads often, so a lost update shows
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        fresh = ModelRegistry(tmp_path)
+        assert sorted(fresh.versions("m")) == list(range(1, 3 + registrars * per_registrar))
+        assert fresh.promoted_version("m") in (1, 2)
+        assert [path.name for path in tmp_path.iterdir() if path.is_file()] == ["manifest.json"]
+
+    def test_gc_during_register_keeps_every_artifact(self, tmp_path, fitted_automl, scream_data):
+        """gc() must not collect a blob published but not yet in the manifest."""
+        X, domains = scream_data.X, scream_data.domains
+        done = threading.Event()
+        errors: list[Exception] = []
+
+        def collect():
+            registry = ModelRegistry(tmp_path)
+            try:
+                while not done.is_set():
+                    registry.gc()
+            except Exception as error:  # surfaced by the assertion below
+                errors.append(error)
+
+        collector = threading.Thread(target=collect)
+        collector.start()
+        try:
+            registry = ModelRegistry(tmp_path)
+            for index in range(8):  # distinct rows, so every bundle is a new blob
+                registry.register("m", fitted_automl, X[index : index + 40], domains)
+        finally:
+            done.set()
+            collector.join(60.0)
+        assert errors == []
+        fresh = ModelRegistry(tmp_path)
+        for version in fresh.versions("m"):
+            assert fresh.load("m", version).name == "m"
 
 
 class TestLabelingQueueDurability:
