@@ -5,9 +5,9 @@ simulation engines can drive it:
 
 - **event-driven** (packet engine): :meth:`on_ack` / :meth:`on_loss` are
   called per packet event;
-- **fluid** (fluid engine): :meth:`fluid_update` advances the control state
-  over a small time step given the current RTT, loss intensity and
-  delivered rate.
+- **fluid** (fluid engine): :meth:`fluid_step` advances the control state
+  over a small time step given the current RTT and delivered rate;
+  :meth:`fluid_update` is that step followed by the loss-credit gate.
 
 Window-based algorithms (Reno, Cubic, Vegas) expose ``congestion_window``;
 rate-based algorithms (SCReAM, BBR) expose ``pacing_rate_pps``.  The
@@ -46,7 +46,6 @@ class CongestionControl:
         self.min_rtt = base_rtt_hint if base_rtt_hint else float("inf")
         self.last_loss_reaction = -float("inf")
         self._loss_credit = 0.0
-        self._start_time = now
 
     # -- shared helpers ------------------------------------------------------
     def observe_rtt(self, rtt: float) -> None:
@@ -70,6 +69,7 @@ class CongestionControl:
         Adds the expected number of lost packets over the last step; when a
         whole packet's worth has accumulated and the once-per-window rule
         allows it, fire one congestion reaction and return ``True``.
+        ``run_fluid_scenario`` inlines this same gate in its hot loop.
         """
         self._loss_credit += max(0.0, expected_losses)
         if self._loss_credit >= 1.0 and self.can_react_to_loss(now, rtt):
@@ -86,6 +86,16 @@ class CongestionControl:
         raise NotImplementedError
 
     # -- fluid interface -----------------------------------------------------
+    def fluid_step(self, now: float, dt: float, rtt: float, delivered_rate: float) -> None:
+        """Advance the control law by ``dt`` seconds of fluid dynamics.
+
+        The fluid engine calls this once per flow per step, positionally, so
+        subclasses write it as one call-free body (min-RTT, queue delay and
+        curve arithmetic inline).  Loss is not an input: the loss-credit
+        gate runs after the step and calls :meth:`on_loss` when it fires.
+        """
+        raise NotImplementedError
+
     def fluid_update(
         self,
         *,
@@ -95,13 +105,11 @@ class CongestionControl:
         expected_losses: float,
         delivered_rate: float,
     ) -> None:
-        """Advance control state by ``dt`` seconds of fluid dynamics.
-
-        The default implementation integrates the ACK clock: it emulates
-        ``delivered_rate * dt`` acknowledgements arriving smoothly and
-        applies loss credit.  Subclasses with closed-form dynamics override.
-        """
-        raise NotImplementedError
+        """One fluid step followed by the loss-credit gate, as the engine runs it."""
+        if rtt <= 0:
+            raise EmulationError(f"observed non-positive RTT: {rtt}")
+        self.fluid_step(now, dt, rtt, delivered_rate)
+        self.accumulate_loss(expected_losses, now=now, rtt=rtt)
 
     # -- engine-facing output ------------------------------------------------
     def congestion_window(self) -> float:

@@ -17,6 +17,7 @@ from .base import MIN_RATE_PPS, CongestionControl
 __all__ = ["BBR"]
 
 _GAIN_CYCLE = (1.25, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
+_CYCLE_PHASES = len(_GAIN_CYCLE)
 
 
 class BBR(CongestionControl):
@@ -67,7 +68,7 @@ class BBR(CongestionControl):
             return self.startup_gain
         if now - self._cycle_start >= rtt:
             self._cycle_start = now
-            self._cycle_index = (self._cycle_index + 1) % len(_GAIN_CYCLE)
+            self._cycle_index = (self._cycle_index + 1) % _CYCLE_PHASES
         return _GAIN_CYCLE[self._cycle_index]
 
     def _repace(self, now: float, rtt: float) -> None:
@@ -103,13 +104,38 @@ class BBR(CongestionControl):
         self.rate_pps = max(MIN_RATE_PPS, self.rate_pps * 0.95)
         self.last_loss_reaction = now
 
-    def fluid_update(
-        self, *, now: float, dt: float, rtt: float, expected_losses: float, delivered_rate: float
-    ) -> None:
-        self.observe_rtt(rtt)
-        self._update_bw(now, delivered_rate)
-        if self._in_startup and now - self._cycle_start >= rtt:
+    def fluid_step(self, now: float, dt: float, rtt: float, delivered_rate: float) -> None:
+        if rtt < self.min_rtt:
+            self.min_rtt = rtt
+        # :meth:`_update_bw`'s windowed-max deque.
+        if delivered_rate > 0:
+            samples = self._bw_samples
+            while samples and samples[-1][1] <= delivered_rate:
+                samples.pop()
+            samples.append((now, delivered_rate))
+            cutoff = now - self.bw_window_s
+            while samples and samples[0][0] < cutoff:
+                samples.popleft()
+            self.btl_bw = samples[0][1] if samples else delivered_rate
+        btl_bw = self.btl_bw
+        in_startup = self._in_startup
+        # Once per round trip in startup, :meth:`_check_startup_exit`.
+        if in_startup and now - self._cycle_start >= rtt:
             self._cycle_start = now
-            self._check_startup_exit()
-        self._repace(now, rtt)
-        self.accumulate_loss(expected_losses, now=now, rtt=rtt)
+            if btl_bw > self._full_bw * 1.25:
+                self._full_bw = btl_bw
+                self._full_bw_rounds = 0
+            else:
+                self._full_bw_rounds += 1
+                if self._full_bw_rounds >= 3:
+                    self._in_startup = in_startup = False
+        # :meth:`_repace` with :meth:`_advance_cycle`'s gain.
+        if in_startup:
+            gain = self.startup_gain
+        else:
+            if now - self._cycle_start >= rtt:
+                self._cycle_start = now
+                self._cycle_index = (self._cycle_index + 1) % _CYCLE_PHASES
+            gain = _GAIN_CYCLE[self._cycle_index]
+        rate = gain * btl_bw if btl_bw > 0 else self.rate_pps * 1.05
+        self.rate_pps = rate if rate > MIN_RATE_PPS else MIN_RATE_PPS

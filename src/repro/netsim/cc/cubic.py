@@ -59,18 +59,25 @@ class Cubic(CongestionControl):
         self.epoch_start = None
         self.last_loss_reaction = now
 
-    def fluid_update(
-        self, *, now: float, dt: float, rtt: float, expected_losses: float, delivered_rate: float
-    ) -> None:
-        self.observe_rtt(rtt)
-        if self.in_slow_start():
-            self.cwnd += delivered_rate * dt
-            self.cwnd = min(self.cwnd, self.ssthresh * 2)
+    def fluid_step(self, now: float, dt: float, rtt: float, delivered_rate: float) -> None:
+        if rtt < self.min_rtt:
+            self.min_rtt = rtt
+        cwnd = self.cwnd
+        if self.w_max == 0.0 and cwnd < self.ssthresh:
+            cwnd += delivered_rate * dt
+            cap = self.ssthresh * 2
+            self.cwnd = cap if cap < cwnd else cwnd
+            return
+        # The cubic curve one RTT ahead, as in :meth:`_cubic_window`.
+        ahead = now + rtt
+        if self.epoch_start is None:
+            self.epoch_start = ahead
+            self.k = (self.w_max * (1.0 - self.beta) / self.c) ** (1.0 / 3.0)
+        target = self.c * (ahead - self.epoch_start - self.k) ** 3 + self.w_max
+        rtt_floor = rtt if rtt > 1e-6 else 1e-6
+        if target > cwnd:
+            # ACK-clocked catch-up toward the cubic curve over ~1 RTT.
+            fraction = dt / rtt_floor
+            self.cwnd = cwnd + (target - cwnd) * (fraction if fraction < 1.0 else 1.0)
         else:
-            target = self._cubic_window(now + rtt)
-            if target > self.cwnd:
-                # ACK-clocked catch-up toward the cubic curve over ~1 RTT.
-                self.cwnd += (target - self.cwnd) * min(1.0, dt / max(rtt, 1e-6))
-            else:
-                self.cwnd += 0.01 * dt / max(rtt, 1e-6)
-        self.accumulate_loss(expected_losses, now=now, rtt=rtt)
+            self.cwnd = cwnd + 0.01 * dt / rtt_floor

@@ -41,14 +41,14 @@ class Reno(CongestionControl):
         self.cwnd = self.ssthresh
         self.last_loss_reaction = now
 
-    def fluid_update(
-        self, *, now: float, dt: float, rtt: float, expected_losses: float, delivered_rate: float
-    ) -> None:
-        self.observe_rtt(rtt)
+    def fluid_step(self, now: float, dt: float, rtt: float, delivered_rate: float) -> None:
+        if rtt < self.min_rtt:
+            self.min_rtt = rtt
+        cwnd = self.cwnd
         acks = delivered_rate * dt
-        if self.in_slow_start():
-            self.cwnd += acks  # one extra packet per ACK doubles per RTT
-            self.cwnd = min(self.cwnd, self.ssthresh * 2)
+        if cwnd < self.ssthresh:
+            cwnd += acks  # one extra packet per ACK doubles per RTT
+            cap = self.ssthresh * 2
+            self.cwnd = cap if cap < cwnd else cwnd
         else:
-            self.cwnd += acks / self.cwnd  # +1 packet per RTT
-        self.accumulate_loss(expected_losses, now=now, rtt=rtt)
+            self.cwnd = cwnd + acks / cwnd  # +1 packet per RTT

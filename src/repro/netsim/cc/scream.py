@@ -70,9 +70,18 @@ class Scream(CongestionControl):
         self.cwnd = max(MIN_CWND, self.cwnd * self.loss_beta)
         self.last_loss_reaction = now
 
-    def fluid_update(
-        self, *, now: float, dt: float, rtt: float, expected_losses: float, delivered_rate: float
-    ) -> None:
-        self.observe_rtt(rtt)
-        self._window_step(rtt, fraction_of_rtt=dt / max(rtt, 1e-6))
-        self.accumulate_loss(expected_losses, now=now, rtt=rtt)
+    def fluid_step(self, now: float, dt: float, rtt: float, delivered_rate: float) -> None:
+        min_rtt = self.min_rtt
+        if rtt < min_rtt:
+            self.min_rtt = min_rtt = rtt
+        # :meth:`_window_step` over a dt/rtt slice of an RTT.
+        fraction_of_rtt = dt / (rtt if rtt > 1e-6 else 1e-6)
+        qdelay = rtt - min_rtt if rtt > min_rtt else 0.0
+        cwnd = self.cwnd
+        pressure = 1.0 - qdelay / self.target_delay
+        delta = self.gain * pressure * cwnd * fraction_of_rtt
+        max_shrink = self.max_shrink_per_rtt * cwnd * fraction_of_rtt
+        if delta < -max_shrink:
+            delta = -max_shrink
+        cwnd += delta
+        self.cwnd = cwnd if cwnd > MIN_CWND else MIN_CWND

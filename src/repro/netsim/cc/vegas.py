@@ -14,6 +14,8 @@ from .base import MIN_CWND, CongestionControl
 
 __all__ = ["Vegas"]
 
+_INF = float("inf")
+
 
 class Vegas(CongestionControl):
     name = "vegas"
@@ -26,12 +28,6 @@ class Vegas(CongestionControl):
         self.beta = beta
         super().__init__()
 
-    def reset(self, *, now: float, base_rtt_hint: float | None = None) -> None:
-        super().reset(now=now, base_rtt_hint=base_rtt_hint)
-        self.ssthresh = 32.0
-        self._acks_this_rtt = 0.0
-        self._rtt_epoch = now
-
     def _queued_packets(self, rtt: float) -> float:
         """Vegas' diff: estimated packets this flow keeps in the queue."""
         if self.min_rtt == float("inf") or self.min_rtt <= 0:
@@ -42,9 +38,7 @@ class Vegas(CongestionControl):
 
     def _adjust(self, rtt: float, scale: float) -> None:
         diff = self._queued_packets(rtt)
-        if self.cwnd < self.ssthresh and diff < self.alpha:
-            self.cwnd += scale  # slow-start-like growth while under target
-        elif diff < self.alpha:
+        if diff < self.alpha:
             self.cwnd += scale
         elif diff > self.beta:
             self.cwnd = max(MIN_CWND, self.cwnd - scale)
@@ -58,9 +52,19 @@ class Vegas(CongestionControl):
         self.cwnd = max(MIN_CWND, self.cwnd * 0.75)
         self.last_loss_reaction = now
 
-    def fluid_update(
-        self, *, now: float, dt: float, rtt: float, expected_losses: float, delivered_rate: float
-    ) -> None:
-        self.observe_rtt(rtt)
-        self._adjust(rtt, scale=dt / max(rtt, 1e-6))
-        self.accumulate_loss(expected_losses, now=now, rtt=rtt)
+    def fluid_step(self, now: float, dt: float, rtt: float, delivered_rate: float) -> None:
+        min_rtt = self.min_rtt
+        if rtt < min_rtt:
+            self.min_rtt = min_rtt = rtt
+        cwnd = self.cwnd
+        # :meth:`_adjust` with a dt/rtt slice of the per-RTT ±1.
+        scale = dt / (rtt if rtt > 1e-6 else 1e-6)
+        if min_rtt == _INF or min_rtt <= 0:
+            diff = 0.0
+        else:
+            diff = (cwnd / min_rtt - cwnd / rtt) * min_rtt
+        if diff < self.alpha:
+            self.cwnd = cwnd + scale
+        elif diff > self.beta:
+            cwnd -= scale
+            self.cwnd = cwnd if cwnd > MIN_CWND else MIN_CWND

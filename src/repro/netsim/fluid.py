@@ -3,15 +3,16 @@
 Solves the standard fluid approximation of a shared bottleneck: each flow
 contributes its instantaneous sending rate, the queue integrates
 ``arrival − capacity``, RTT is ``base + queue/capacity``, and congestion
-controllers advance their state via their :meth:`fluid_update` law.
-Overflow and random loss are converted into expected-loss mass and fed back
-to the controllers.
+controllers advance their state via their :meth:`fluid_step` law.
+Overflow and random loss are converted into expected-loss mass; a flow's
+loss credit fires one :meth:`on_loss` reaction per window once a whole
+packet's worth has accumulated.
 
 The fluid engine reproduces the steady-state and slow-timescale behaviour
-of the packet engine at a tiny fraction of the cost, which is what makes
+of the packet engine at a fraction of the cost, which is what makes
 generating thousands of labeled Scream-vs-rest scenarios tractable
-(``tests/test_netsim_agreement.py`` checks the two engines agree on the
-qualitative orderings the dataset depends on).
+(``tests/test_netsim_engines.py::TestEngineAgreement`` checks the two
+engines agree on the qualitative orderings the dataset depends on).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 from ..exceptions import EmulationError
 from ..rng import RandomState, check_random_state
 from .cc import make_protocol
+from .cc.base import MIN_CWND, MIN_RATE_PPS
 from .emulator import FlowMetrics, _weighted_percentile
 from .packet import NetworkScenario
 
@@ -56,7 +58,7 @@ def run_fluid_scenario(
     """Run the fluid model for one (scenario, protocol) pair.
 
     ``duration`` defaults to enough RTTs for the control loops to settle
-    (at least 60 RTTs, at least 4 seconds).  The first ``warmup_fraction``
+    (50 RTTs, clamped to 3–20 seconds).  The first ``warmup_fraction``
     of the run is excluded from latency statistics.
     """
     rng = check_random_state(random_state)
@@ -84,6 +86,7 @@ def run_fluid_scenario(
         controller.rate_pps *= float(rng.uniform(0.9, 1.1))
         controller.cwnd *= float(rng.uniform(0.9, 1.1))
 
+    window_based = controllers[0].kind == "window"
     queue = 0.0
     sent_total = 0.0
     lost_total = 0.0
@@ -92,12 +95,20 @@ def run_fluid_scenario(
     delay_weights: list[float] = []
     warmup_time = warmup_fraction * duration
     loss_rate = scenario.loss_rate
+    half_rtt = base_rtt / 2.0
 
-    # Hot loop: plain floats/lists beat numpy at n_flows <= 8.
+    # Hot loop: plain floats/lists beat numpy at n_flows <= 8.  Each
+    # flow-step is one positional ``fluid_step`` call; send rates
+    # (``sending_rate``) and the loss-credit gate (``accumulate_loss``) are
+    # inlined with the same float operations in the same order.
     for step in range(steps):
         now = step * dt
         rtt_now = base_rtt + queue / capacity
-        rates = [controller.sending_rate(rtt_now) for controller in controllers]
+        if window_based:
+            rtt_floor = rtt_now if rtt_now > 1e-6 else 1e-6
+            rates = [(c.cwnd if c.cwnd > MIN_CWND else MIN_CWND) / rtt_floor for c in controllers]
+        else:
+            rates = [c.rate_pps if c.rate_pps > MIN_RATE_PPS else MIN_RATE_PPS for c in controllers]
         arrival = sum(rates)
         sent_total += arrival * dt
 
@@ -110,26 +121,26 @@ def run_fluid_scenario(
             overflow = 0.0
             queue = next_queue if next_queue > 0.0 else 0.0
 
-        served = capacity if queue > 0 else min(arrival, capacity)
+        served = capacity if queue > 0 or capacity < arrival else arrival
         delivered_total += served * dt
         inv_arrival = 1.0 / arrival if arrival > 0 else 0.0
 
-        for i, controller in enumerate(controllers):
-            share = rates[i] * inv_arrival
-            losses = rates[i] * dt * loss_rate + overflow * share
+        for controller, rate in zip(controllers, rates):
+            share = rate * inv_arrival
+            losses = rate * dt * loss_rate + overflow * share
             lost_total += losses
-            controller.fluid_update(
-                now=now,
-                dt=dt,
-                rtt=rtt_now,
-                expected_losses=losses,
-                delivered_rate=served * share,
-            )
+            controller.fluid_step(now, dt, rtt_now, served * share)
+            # ``losses`` is never negative, so adding it is ``max(0.0, losses)``.
+            credit = controller._loss_credit + losses
+            if credit >= 1.0 and now - controller.last_loss_reaction >= rtt_now:
+                credit = 0.0
+                controller.on_loss(now=now)
+            controller._loss_credit = credit
 
         if trace is not None:
             trace.record(now, queue, arrival)
         if now >= warmup_time:
-            delay_samples.append((base_rtt / 2.0 + queue / capacity) * 1000.0)
+            delay_samples.append((half_rtt + queue / capacity) * 1000.0)
             delay_weights.append(served * dt)
 
     delays = np.asarray(delay_samples)

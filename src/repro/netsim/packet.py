@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from ..exceptions import EmulationError
@@ -46,6 +47,10 @@ class NetworkScenario:
     queue_bdp: float = 2.0
 
     def __post_init__(self):
+        for name in ("bandwidth_mbps", "rtt_ms", "loss_rate", "n_flows", "queue_bdp"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise EmulationError(f"{name} must be finite, got {value}")
         if self.bandwidth_mbps <= 0:
             raise EmulationError(f"bandwidth must be positive, got {self.bandwidth_mbps}")
         if self.rtt_ms <= 0:

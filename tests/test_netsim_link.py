@@ -120,3 +120,12 @@ class TestNetworkScenario:
             NetworkScenario(bandwidth_mbps=1, rtt_ms=10, loss_rate=0, n_flows=0)
         with pytest.raises(EmulationError):
             NetworkScenario(bandwidth_mbps=1, rtt_ms=10, loss_rate=0, queue_bdp=0)
+
+    @pytest.mark.parametrize("field", ["bandwidth_mbps", "rtt_ms", "loss_rate", "queue_bdp"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rejected(self, field, value):
+        """NaN/inf used to pass validation and die later in ``int(round(...))``."""
+        kwargs = dict(bandwidth_mbps=10.0, rtt_ms=20.0, loss_rate=0.0, queue_bdp=2.0)
+        kwargs[field] = value
+        with pytest.raises(EmulationError, match=f"{field} must be finite"):
+            NetworkScenario(**kwargs)

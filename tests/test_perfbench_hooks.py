@@ -16,6 +16,7 @@ import pytest
 
 import repro.serve
 from repro.cli import main as repro_main
+from repro.datasets.scream import ScreamOracle
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -55,6 +56,25 @@ class TestLayerHooks:
         assert tracer._undo == []
         for owner, attr, raw in originals.values():
             assert _current(owner, attr) is raw, f"{owner.__name__}.{attr} was not restored"
+
+    def test_labelling_one_row_records_one_label_span_over_five_netsim_spans(self, spans):
+        """The grid's labelling/netsim split is read from these spans.
+
+        ``ScreamOracle`` must reach the fluid engine through the module
+        global ``repro.datasets.scream.run_fluid_scenario``, once per
+        protocol; otherwise ``netsim.fluid`` silently reads 0.
+        """
+        tracer = spans.Tracer()
+        try:
+            spans.install_grid_layers(tracer)
+            ScreamOracle(random_state=0).label([[20.0, 40.0, 0.001, 2.0]])
+        finally:
+            tracer.uninstall()
+        layers = tracer.summary(tracer.phase)
+        assert layers["datasets.label"]["calls"] == 1
+        assert layers["netsim.fluid"]["calls"] == 5
+        [label_id] = [span[0] for span in tracer.spans if span[2] == "datasets.label"]
+        assert {span[1] for span in tracer.spans if span[2] == "netsim.fluid"} == {label_id}
 
 
 class TestServeLauncherHook:
